@@ -40,8 +40,8 @@ int main() {
   int auto_partitioned = 0;
   int oracle_partitioned = 0;
   for (const TpchQuery& query : TpchQueries()) {
-    // What kAuto actually ran, join by join (audits are post-fallback, in
-    // the query-global post-order numbering).
+    // What kAuto actually ran, join by join (join records are
+    // post-fallback, in the query-global post-order numbering).
     ExecOptions auto_options = bench::Options(JoinStrategy::kAuto, threads);
     QueryStats auto_stats;
     query.run(*db, auto_options, &auto_stats, &pool);
@@ -81,7 +81,7 @@ int main() {
       std::sort(deltas.begin(), deltas.end());
       const double delta = deltas[deltas.size() / 2];
       const bool oracle_partition = delta > threshold && deltas.front() > 0;
-      const JoinStrategy ran = auto_stats.join_audits[j].strategy;
+      const JoinStrategy ran = auto_stats.metrics.joins()[j].strategy;
       const bool auto_partition = ran != JoinStrategy::kBHJ;
       const bool match = auto_partition == oracle_partition;
       ++total;

@@ -30,7 +30,7 @@ int main() {
   int total_joins = 0;
   int brj_wins = 0;
   for (const TpchQuery& query : TpchQueries()) {
-    // One all-BHJ run provides the per-join audits.
+    // One all-BHJ run provides the per-join records.
     ExecOptions base_options = bench::Options(JoinStrategy::kBHJ, threads);
     QueryStats base;
     query.run(*db, base_options, &base, &pool);
@@ -51,16 +51,16 @@ int main() {
             return stats.seconds;
           },
           reps);
-      const JoinAudit& audit = base.join_audits[j];
+      const JoinMetrics& join = base.metrics.joins()[j];
       if (delta > 0.10) ++brj_wins;
       ++total_joins;
       table.AddRow({"Q" + std::to_string(query.id) + "-J" +
                         std::to_string(j + 1),
-                    JoinKindName(audit.kind),
-                    std::to_string(audit.build_bytes()),
-                    std::to_string(audit.probe_bytes()),
-                    audit.build_bytes() < static_cast<uint64_t>(llc) ? "yes"
-                                                                     : "no",
+                    JoinKindName(join.kind),
+                    std::to_string(join.build_bytes()),
+                    std::to_string(join.probe_bytes()),
+                    join.build_bytes() < static_cast<uint64_t>(llc) ? "yes"
+                                                                    : "no",
                     TablePrinter::Percent(delta)});
     }
   }

@@ -3,7 +3,7 @@
 // The paper's Figure 2 motivates the whole study: prior work benchmarks
 // narrow tuples (8-16 B) at 100% join partners, while TPC-H joins see wide
 // tuples and low selectivities. We run every TPC-H query once (BHJ), collect
-// the per-join audits, and print both histograms next to the prior-work
+// the per-join records, and print both histograms next to the prior-work
 // values.
 #include <map>
 
@@ -20,27 +20,27 @@ int main() {
   ThreadPool pool(DefaultThreads());
   ExecOptions options = bench::Options(JoinStrategy::kBHJ, pool.num_threads());
 
-  std::vector<JoinAudit> audits;
+  std::vector<JoinMetrics> joins;
   for (const TpchQuery& query : TpchQueries()) {
     QueryStats stats;
     query.run(*db, options, &stats, &pool);
-    for (const auto& audit : stats.join_audits) audits.push_back(audit);
+    for (const auto& join : stats.metrics.joins()) joins.push_back(join);
   }
   std::printf("collected %zu joins across %zu queries (paper: 59 joins)\n\n",
-              audits.size(), TpchQueries().size());
+              joins.size(), TpchQueries().size());
 
   // Histogram of probe tuple widths (payload size), 8-byte buckets.
   std::map<int, int> width_hist;
   std::map<int, int> partner_hist;  // 10% buckets
-  for (const auto& audit : audits) {
-    width_hist[static_cast<int>(audit.probe_width / 8) * 8]++;
-    partner_hist[static_cast<int>(audit.match_fraction() * 10) * 10]++;
+  for (const auto& join : joins) {
+    width_hist[static_cast<int>(join.probe_width / 8) * 8]++;
+    partner_hist[static_cast<int>(join.match_fraction() * 10) * 10]++;
   }
 
   TablePrinter widths({"probe tuple size [B]", "TPC-H joins [%]",
                        "prior work [%]"});
   for (const auto& [bucket, count] : width_hist) {
-    double pct = 100.0 * count / audits.size();
+    double pct = 100.0 * count / joins.size();
     // Prior work: all tuples are 8 or 16 bytes (Table 1).
     double prior = (bucket == 8 || bucket == 16) ? 50.0 : 0.0;
     widths.AddRow({std::to_string(bucket) + "-" + std::to_string(bucket + 7),
@@ -55,7 +55,7 @@ int main() {
     auto it = partner_hist.find(bucket);
     double pct = it == partner_hist.end()
                      ? 0.0
-                     : 100.0 * it->second / audits.size();
+                     : 100.0 * it->second / joins.size();
     double prior = bucket == 100 ? 100.0 : 0.0;
     partners.AddRow({std::to_string(bucket) + "-" + std::to_string(bucket + 9),
                      TablePrinter::Double(pct, 1),

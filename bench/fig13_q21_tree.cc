@@ -21,14 +21,14 @@ int main() {
 
   TablePrinter table({"join", "kind", "build tuples", "build size",
                       "probe tuples", "probe size", "partners"});
-  for (const auto& audit : stats.join_audits) {
+  for (const auto& join : stats.metrics.joins()) {
     table.AddRow(
-        {std::to_string(audit.join_id + 1), JoinKindName(audit.kind),
-         std::to_string(audit.build_tuples),
-         TablePrinter::Mib(static_cast<double>(audit.build_bytes())),
-         std::to_string(audit.probe_tuples),
-         TablePrinter::Mib(static_cast<double>(audit.probe_bytes())),
-         TablePrinter::Double(audit.match_fraction() * 100, 1) + "%"});
+        {std::to_string(join.join_id + 1), JoinKindName(join.kind),
+         std::to_string(join.build_tuples),
+         TablePrinter::Mib(static_cast<double>(join.build_bytes())),
+         std::to_string(join.probe_tuples),
+         TablePrinter::Mib(static_cast<double>(join.probe_bytes())),
+         TablePrinter::Double(join.match_fraction() * 100, 1) + "%"});
   }
   table.Print();
   std::printf(

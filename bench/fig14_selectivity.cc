@@ -28,10 +28,14 @@ int main() {
     QueryStats adaptive = MeasurePlan(
         *plan, bench::Options(JoinStrategy::kBRJAdaptive, threads), reps,
         &pool);
+    uint64_t dropped = 0;
+    for (const JoinMetrics& j : brj.metrics.joins()) {
+      dropped += j.bloom.negatives;
+    }
     table.AddRow({std::to_string(partners), bench::Gts(brj.Throughput()),
                   bench::Gts(bhj.Throughput()), bench::Gts(rj.Throughput()),
                   bench::Gts(adaptive.Throughput()),
-                  std::to_string(brj.bloom_dropped)});
+                  std::to_string(dropped)});
     const std::string tag = "fig14 partners=" + std::to_string(partners);
     bench::DumpMetrics(tag + " BRJ", brj);
     bench::DumpMetrics(tag + " BRJadaptive", adaptive);

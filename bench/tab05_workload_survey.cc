@@ -1,5 +1,5 @@
 // Table 5: workload characteristics for join processing — prior work vs
-// TPC-H (measured from the per-join audits) vs real-world observations.
+// TPC-H (measured from the per-join records) vs real-world observations.
 #include <algorithm>
 
 #include "bench/bench_common.h"
@@ -15,12 +15,12 @@ int main() {
   ThreadPool pool(DefaultThreads());
   ExecOptions options = bench::Options(JoinStrategy::kBHJ, pool.num_threads());
 
-  std::vector<JoinAudit> audits;
+  std::vector<JoinMetrics> joins;
   int max_pipeline_joins = 0;
   for (const TpchQuery& query : TpchQueries()) {
     QueryStats stats;
     query.run(*db, options, &stats, &pool);
-    for (const auto& audit : stats.join_audits) audits.push_back(audit);
+    for (const auto& join : stats.metrics.joins()) joins.push_back(join);
     max_pipeline_joins = std::max(max_pipeline_joins, query.num_joins);
   }
 
@@ -30,16 +30,16 @@ int main() {
   int high_ratio = 0;
   int small_build = 0;
   const uint64_t llc = 16ull << 20;
-  for (const auto& audit : audits) {
-    sum_width += audit.probe_width;
-    sum_match += audit.match_fraction();
-    if (audit.build_tuples > 0 &&
-        audit.probe_tuples / std::max<uint64_t>(1, audit.build_tuples) >= 10) {
+  for (const auto& join : joins) {
+    sum_width += join.probe_width;
+    sum_match += join.match_fraction();
+    if (join.build_tuples > 0 &&
+        join.probe_tuples / std::max<uint64_t>(1, join.build_tuples) >= 10) {
       ++high_ratio;
     }
-    if (audit.build_bytes() < llc) ++small_build;
+    if (join.build_bytes() < llc) ++small_build;
   }
-  const double n = static_cast<double>(audits.size());
+  const double n = static_cast<double>(joins.size());
 
   TablePrinter table({"factor", "prior work", "TPC-H (measured here)",
                       "real world [Vogelsgesang et al.]"});
@@ -55,11 +55,11 @@ int main() {
                 "low selectivity"});
   table.AddRow({"size difference", "1 - 25",
                 std::to_string(high_ratio) + "/" +
-                    std::to_string(audits.size()) + " joins >= 1:10",
+                    std::to_string(joins.size()) + " joins >= 1:10",
                 "mostly high"});
   table.AddRow({"build size", ">> LLC",
                 std::to_string(small_build) + "/" +
-                    std::to_string(audits.size()) + " builds < LLC",
+                    std::to_string(joins.size()) + " builds < LLC",
                 "mostly small"});
   table.Print();
   std::printf(

@@ -67,11 +67,15 @@ int main() {
       std::printf("ERROR: strategies disagree!\n");
       return 1;
     }
+    uint64_t dropped = 0;
+    for (const JoinMetrics& j : stats.metrics.joins()) {
+      dropped += j.bloom.negatives;
+    }
     table.AddRow({JoinStrategyName(s),
                   TablePrinter::Double(stats.seconds * 1e3, 1),
                   TablePrinter::TuplesPerSec(stats.Throughput()),
                   std::to_string(result.num_rows()),
-                  std::to_string(stats.bloom_dropped)});
+                  std::to_string(dropped)});
     if (s == JoinStrategy::kAuto) {
       explain_analyze = ExplainAnalyzePlan(*plan, options, stats);
     }

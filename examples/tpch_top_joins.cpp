@@ -46,12 +46,12 @@ int main(int argc, char** argv) {
     timing.Print();
 
     TablePrinter joins({"join", "kind", "build", "probe", "partners"});
-    for (const auto& audit : bhj_stats.join_audits) {
+    for (const auto& join : bhj_stats.metrics.joins()) {
       joins.AddRow(
-          {"J" + std::to_string(audit.join_id + 1), JoinKindName(audit.kind),
-           TablePrinter::Bytes(static_cast<double>(audit.build_bytes())),
-           TablePrinter::Bytes(static_cast<double>(audit.probe_bytes())),
-           TablePrinter::Double(audit.match_fraction() * 100, 1) + "%"});
+          {"J" + std::to_string(join.join_id + 1), JoinKindName(join.kind),
+           TablePrinter::Bytes(static_cast<double>(join.build_bytes())),
+           TablePrinter::Bytes(static_cast<double>(join.probe_bytes())),
+           TablePrinter::Double(join.match_fraction() * 100, 1) + "%"});
     }
     joins.Print();
     std::printf("\n");

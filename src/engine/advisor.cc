@@ -458,6 +458,23 @@ JoinDecision JoinAdvisor::Decide(JoinKind kind, uint64_t est_build_rows,
   return d;
 }
 
+void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d) {
+  m.advisor.present = true;
+  m.advisor.choice = d.choice;
+  m.advisor.est_build_tuples = d.est_build_rows;
+  m.advisor.est_probe_tuples = d.est_probe_rows;
+  m.advisor.cost_bhj = d.cost_bhj;
+  m.advisor.cost_rj = d.cost_rj;
+  m.advisor.cost_brj = d.cost_brj;
+  m.advisor.reason = d.reason;
+  m.advisor.skew_sampled = d.skew_sampled;
+  m.advisor.est_top_share = d.est_top_share;
+  m.advisor.est_max_partition_share = d.est_max_partition_share;
+  m.advisor.est_key_payload_corr = d.est_key_payload_corr;
+  m.advisor.skew_defense = d.skew_defense;
+  m.advisor.quality = StatsEnabled();
+}
+
 // --- Guarded runtime -------------------------------------------------------
 
 AutoJoinRuntime::AutoJoinRuntime(JoinKind kind, const RowLayout* build_layout,
@@ -466,15 +483,14 @@ AutoJoinRuntime::AutoJoinRuntime(JoinKind kind, const RowLayout* build_layout,
                                  std::vector<int> probe_keys,
                                  JoinProjection projection,
                                  const RadixJoin::Options& radix_options,
-                                 const JoinDecision& decision,
-                                 double overflow_factor)
+                                 const JoinDecision& decision)
     : kind_(kind),
       decision_(decision),
       radix_strategy_(radix_options.strategy) {
   const double estimate =
       static_cast<double>(std::max<uint64_t>(1, decision.est_build_rows));
   build_limit_ = static_cast<uint64_t>(
-      std::max(1.0, std::ceil(estimate * overflow_factor)));
+      std::max(1.0, std::ceil(estimate * kBuildOverflowFactor)));
   radix_ = std::make_unique<RadixJoin>(kind, build_layout, build_keys,
                                        probe_layout, probe_keys, projection,
                                        radix_options);
@@ -491,30 +507,10 @@ void AutoJoinRuntime::set_join_id(int id) {
 JoinMetrics AutoJoinRuntime::CollectMetrics() const {
   JoinMetrics m =
       fell_back_ ? hash_->CollectMetrics() : radix_->CollectMetrics();
-  m.advisor.present = true;
-  m.advisor.choice = decision_.choice;
-  m.advisor.est_build_tuples = decision_.est_build_rows;
-  m.advisor.est_probe_tuples = decision_.est_probe_rows;
-  m.advisor.cost_bhj = decision_.cost_bhj;
-  m.advisor.cost_rj = decision_.cost_rj;
-  m.advisor.cost_brj = decision_.cost_brj;
+  AttachAdvisorMetrics(m, decision_);
   m.advisor.fell_back = overflow_demoted_;
-  m.advisor.reason = decision_.reason;
-  m.advisor.skew_sampled = decision_.skew_sampled;
-  m.advisor.est_top_share = decision_.est_top_share;
-  m.advisor.est_max_partition_share = decision_.est_max_partition_share;
-  m.advisor.est_key_payload_corr = decision_.est_key_payload_corr;
-  m.advisor.skew_defense = decision_.skew_defense;
-  m.advisor.quality = StatsEnabled();
   m.replan = replan_;
   return m;
-}
-
-JoinAudit AutoJoinRuntime::Audit(int join_id) const {
-  JoinAudit audit =
-      fell_back_ ? hash_->Audit(join_id) : radix_->Audit(join_id);
-  if (fell_back_) audit.strategy = JoinStrategy::kBHJ;
-  return audit;
 }
 
 void AutoJoinRuntime::PrepareSpill(int num_threads, uint32_t out_stride) {
@@ -553,6 +549,7 @@ void AutoJoinRuntime::DeferDecision(ExecContext& exec,
   decision_pending_ = true;
   deferred_build_sink_ = build_sink;
   staged_build_ = staged;
+  if (!replan_armed()) return;
   // Publish this join's corrected output estimate: downstream joins in the
   // same chain resolve after us and scale their probe estimate by the same
   // ratio the build side was off by.
@@ -572,7 +569,6 @@ void AutoJoinRuntime::DeferDecision(ExecContext& exec,
 void AutoJoinRuntime::ResolveDeferred(ExecContext& exec) {
   if (!decision_pending_) return;
   decision_pending_ = false;
-  Stopwatch watch;
   // Correct the probe estimate from the nearest upstream join that already
   // published feedback (post-order: the probe subtree's top join has the
   // highest id below ours).
@@ -590,7 +586,7 @@ void AutoJoinRuntime::ResolveDeferred(ExecContext& exec) {
                std::llround(static_cast<double>(est_probe) * ratio)));
     break;
   }
-  replan_.enabled = true;
+  replan_.enabled = replan_armed();
   replan_.staged_build_tuples = staged_build_;
   replan_.corrected_probe_tuples = corrected_probe;
   replan_.qerror_build =
@@ -599,8 +595,9 @@ void AutoJoinRuntime::ResolveDeferred(ExecContext& exec) {
       EstimateQError(decision_.est_probe_rows, corrected_probe);
 
   bool use_bhj = decision_.choice == JoinStrategy::kBHJ;
-  if (std::max(replan_.qerror_build, replan_.qerror_probe) >=
-      replan_qerror_) {
+  if (replan_armed() &&
+      std::max(replan_.qerror_build, replan_.qerror_probe) >=
+          replan_qerror_) {
     // Estimate wrong: re-cost the strategy with the observed build side and
     // the corrected probe side. The skew sample survives from plan time (it
     // sampled the base column, which did not change).
@@ -625,7 +622,8 @@ void AutoJoinRuntime::ResolveDeferred(ExecContext& exec) {
     // the Bloom filter cannot be retrofitted mid-query.
     use_bhj = re.choice == JoinStrategy::kBHJ;
   } else if (!use_bhj && staged_build_ > build_limit_) {
-    // Untriggered path keeps the original overflow guardrail.
+    // Overflow guardrail: the estimate undersold the build side badly
+    // enough that the partition fan-out is mis-sized.
     overflow_demoted_ = true;
     use_bhj = true;
   }
@@ -633,11 +631,13 @@ void AutoJoinRuntime::ResolveDeferred(ExecContext& exec) {
   replan_.final_choice = use_bhj ? JoinStrategy::kBHJ : radix_strategy_;
   if (use_bhj) {
     fell_back_ = true;
+    Stopwatch watch;
     RouteStagedToHashTable(exec);
+    exec.timer().Add(JoinPhase::kBuildPipeline, watch.ElapsedSeconds());
   } else {
-    deferred_build_sink_->Finish(exec);  // Bloom sizing + Finalize
+    // Bloom sizing + Finalize, which times its own partitioning phases.
+    deferred_build_sink_->Finish(exec);
   }
-  exec.timer().Add(JoinPhase::kBuildPipeline, watch.ElapsedSeconds());
 }
 
 void AutoJoinRuntime::RecordProbeFeedback(ExecContext& exec,
@@ -679,33 +679,9 @@ void AutoBuildSink::Consume(Batch& batch, ThreadContext& ctx) {
 void AutoBuildSink::Close(ThreadContext& ctx) { radix_sink_.Close(ctx); }
 
 void AutoBuildSink::Finish(ExecContext& exec) {
-  RadixPartitioner& part = rt_->radix().build_partitioner();
-  const uint64_t staged = part.PendingTuples();
-  if (rt_->replan_armed()) {
-    // Re-planning owns the decision: leave the build staged and resolve in
-    // the probe sink's Prepare, once upstream joins have reported actuals.
-    rt_->DeferDecision(exec, &radix_sink_, staged);
-    return;
-  }
-  if (staged <= rt_->build_limit()) {
-    radix_sink_.Finish(exec);  // Bloom sizing + Finalize: the radix path
-    return;
-  }
-  // Guardrail tripped: the estimate undersold the build side badly enough
-  // that the partition fan-out is mis-sized. Re-route the staged tuples into
-  // the non-partitioned join — the staged hashes are exactly what the
-  // chaining table keys on, so no input re-read is needed.
-  rt_->set_fell_back();
-  Stopwatch watch;
-  ChainingHashTable& ht = rt_->hash().table();
-  const uint32_t row_stride = rt_->radix().build_layout()->stride();
-  part.ForEachStagedTuple([&](uint64_t hash, const std::byte* row) {
-    ht.MaterializeEntry(0, hash, row, row_stride);
-  });
-  // FinishBuild, not a raw Build: under a memory budget the fallback BHJ
-  // must be able to go hybrid (spill partitions) like a planned BHJ would.
-  rt_->hash().FinishBuild(exec);
-  exec.timer().Add(JoinPhase::kBuildPipeline, watch.ElapsedSeconds());
+  // Leave the build staged; the probe sink's Prepare resolves the engine.
+  rt_->DeferDecision(exec, &radix_sink_,
+                     rt_->radix().build_partitioner().PendingTuples());
 }
 
 AutoProbeSink::AutoProbeSink(AutoJoinRuntime* rt)

@@ -19,7 +19,7 @@
 // Because estimates lie, advisor-chosen radix joins run under a runtime
 // guardrail (AutoJoinRuntime): the build side is staged through the radix
 // partitioner's pass 1 as usual, but if the staged tuple count overflows the
-// estimate by a configurable factor, the join falls back to BHJ on the spot —
+// estimate by kBuildOverflowFactor, the join falls back to BHJ on the spot —
 // the staged [hash][row] tuples are re-routed into the chaining hash table
 // without re-reading the input, and the probe and join pipelines execute the
 // non-partitioned plan. The fallback is recorded in QueryMetrics.
@@ -46,10 +46,6 @@ struct AdvisorOptions {
   uint64_t l2_bytes = 0;
   uint64_t llc_bytes = 0;
 
-  // Runtime guardrail: an advisor-chosen radix join falls back to BHJ when
-  // the staged build side exceeds estimate * build_overflow_factor.
-  double build_overflow_factor = 4.0;
-
   // A partitioned strategy is chosen only when its modeled cost is below
   // margin * cost(BHJ) — the "when in doubt, do not partition" asymmetry.
   double partition_margin = 0.9;
@@ -69,11 +65,11 @@ struct AdvisorOptions {
   uint64_t skew_sample_size = UINT64_MAX;
 
   // Mid-query re-planning trigger. When the resolved value is > 0, every
-  // advised join defers its engine choice from the build sink's Finish to
-  // the probe sink's Prepare and re-costs the strategy when the observed
-  // build/probe q-error meets the threshold. 0 disables (the plan-time
-  // choice runs, guarded only by the overflow fallback); the default
-  // sentinel (-1) reads PJOIN_REPLAN_QERROR, which defaults to 0.
+  // advised join (BHJ picks included) runs guarded, and when the engine
+  // choice resolves at the probe sink's Prepare it re-costs the strategy if
+  // the observed build/probe q-error meets the threshold. 0 disables (the
+  // plan-time choice runs, guarded only by the overflow fallback); the
+  // default sentinel (-1) reads PJOIN_REPLAN_QERROR, which defaults to 0.
   double replan_qerror = -1.0;
 
   // Fault injection for re-planner tests and bench/ext_misestimate:
@@ -82,6 +78,10 @@ struct AdvisorOptions {
   // (<= 0) reads PJOIN_EST_SCALE, which defaults to 1 (no corruption).
   double est_scale = 0.0;
 };
+
+// Runtime guardrail: an advisor-chosen radix join falls back to BHJ when
+// the staged build side exceeds its estimate by this factor.
+constexpr double kBuildOverflowFactor = 4.0;
 
 // One join's scored decision. Costs are modeled bytes of memory traffic.
 struct JoinDecision {
@@ -150,6 +150,10 @@ class JoinAdvisor {
   static double ResolvedEstimateScale(const AdvisorOptions& options);
 };
 
+// Copies the advisor's decision record into a join's metrics so EXPLAIN
+// ANALYZE and the JSON export can show estimated vs actual.
+void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d);
+
 // Shared state of one advisor-chosen radix join running under the build
 // guardrail. Owns both physical joins; only one of them executes the probe:
 // the radix join on the happy path, the hash join after a fallback.
@@ -159,7 +163,7 @@ class AutoJoinRuntime {
                   std::vector<int> build_keys, const RowLayout* probe_layout,
                   std::vector<int> probe_keys, JoinProjection projection,
                   const RadixJoin::Options& radix_options,
-                  const JoinDecision& decision, double overflow_factor);
+                  const JoinDecision& decision);
 
   JoinKind kind() const { return kind_; }
   RadixJoin& radix() { return *radix_; }
@@ -167,33 +171,33 @@ class AutoJoinRuntime {
   const JoinDecision& decision() const { return decision_; }
 
   bool fell_back() const { return fell_back_; }
-  void set_fell_back() {
-    fell_back_ = true;
-    overflow_demoted_ = true;
-  }
-  uint64_t build_limit() const { return build_limit_; }
 
-  // --- mid-query re-planning (PJOIN_REPLAN_QERROR > 0) ---------------------
-  // Arms deferred resolution: the engine decision moves from the build
-  // sink's Finish to the probe sink's Prepare, after every join in the probe
-  // subtree (post-order ids [feedback_begin, feedback_end)) has published
-  // its observed cardinality into ExecContext. The runtime then re-costs the
+  // --- engine decision -----------------------------------------------------
+  // The build sink's Finish leaves the build side staged (DeferDecision);
+  // the probe sink's Prepare picks the engine (ResolveDeferred), after every
+  // join in the probe subtree has run its build.
+
+  // Arms mid-query re-planning (PJOIN_REPLAN_QERROR > 0): joins in the probe
+  // subtree (post-order ids [feedback_begin, feedback_end)) publish their
+  // observed cardinality into ExecContext, and ResolveDeferred re-costs the
   // strategy with the staged build count and the feedback-corrected probe
   // estimate whenever either q-error reaches the threshold.
   void ArmReplan(double qerror_threshold, const AdvisorOptions& options,
                  int feedback_begin, int feedback_end);
   bool replan_armed() const { return replan_qerror_ > 0; }
 
-  // Build pipeline finished with the decision still open: remember the
-  // staged tuple count and the sink that can finalize the radix build, and
+  // Build pipeline finished: remember the staged tuple count and the sink
+  // that can finalize the radix build and, when re-planning is armed,
   // publish this join's corrected output estimate for downstream joins.
   void DeferDecision(ExecContext& exec, RadixBuildSink* build_sink,
                      uint64_t staged);
 
-  // Resolves a deferred decision (no-op otherwise): reads upstream
-  // cardinality feedback, re-costs if the q-error trigger fires, then either
-  // finalizes the radix build or re-routes the staged tuples into the BHJ
-  // table. Called from AutoProbeSink::Prepare — pipelines prepare and finish
+  // The one place that picks BHJ or radix. Re-planning armed: reads upstream
+  // cardinality feedback and re-costs if the q-error trigger fires.
+  // Otherwise the overflow guardrail demotes a radix pick whose staged build
+  // exceeds kBuildOverflowFactor times its estimate. Then either finalizes
+  // the radix build or re-routes the staged tuples into the BHJ table.
+  // Called from AutoProbeSink::Prepare — pipelines prepare and finish
   // serially, so no synchronization is needed.
   void ResolveDeferred(ExecContext& exec);
 
@@ -202,20 +206,11 @@ class AutoJoinRuntime {
   void RecordProbeFeedback(ExecContext& exec, uint64_t actual_probe);
   void RecordOutputFeedback(ExecContext& exec, uint64_t actual_out);
 
-  const ReplanMetrics& replan() const { return replan_; }
-
   void set_join_id(int id);
   int join_id() const { return radix_->join_id(); }
 
-  // Executor accounting, routed to whichever engine actually ran.
-  uint64_t PartitionBytes() const {
-    return fell_back_ ? 0 : radix_->PartitionBytes();
-  }
-  uint64_t BloomDropped() const {
-    return fell_back_ ? 0 : radix_->bloom_dropped();
-  }
+  // Metrics of whichever engine actually ran, plus the decision records.
   JoinMetrics CollectMetrics() const;
-  JoinAudit Audit(int join_id) const;
 
   // Fallback probe output: the BHJ probe emits output-format rows into
   // per-worker buffers here; the join source replays them downstream.
@@ -225,8 +220,9 @@ class AutoJoinRuntime {
 
  private:
   // Re-routes the staged pass-1 tuples into the chaining hash table and
-  // finishes the BHJ build (shared by the overflow guardrail and a re-plan
-  // switch to BHJ).
+  // finishes the BHJ build (an overflow demotion or a re-plan switch to BHJ).
+  // The staged hashes are exactly what the chaining table keys on, so no
+  // input re-read is needed.
   void RouteStagedToHashTable(ExecContext& exec);
 
   JoinKind kind_;
@@ -236,10 +232,10 @@ class AutoJoinRuntime {
   std::unique_ptr<RadixJoin> radix_;
   std::unique_ptr<HashJoin> hash_;
   bool fell_back_ = false;         // the hash engine executes this join
-  bool overflow_demoted_ = false;  // legacy guardrail demotion (metrics flag)
+  bool overflow_demoted_ = false;  // guardrail demoted the pick (metrics)
   std::vector<RowBuffer> spill_;
 
-  // Deferred-replan state.
+  // Deferred-decision state (the replan fields only when armed).
   double replan_qerror_ = 0;  // 0 = re-planning off
   AdvisorOptions replan_options_;
   int feedback_begin_ = 0;
@@ -250,10 +246,9 @@ class AutoJoinRuntime {
   ReplanMetrics replan_;
 };
 
-// Terminates the build pipeline of an advisor-chosen radix join. Stages
-// tuples through the radix partitioner's pass 1; Finish applies the
-// guardrail — within budget it finalizes the partitioner (normal radix
-// path), on overflow it re-routes the staged tuples into the BHJ table.
+// Terminates the build pipeline of an advisor-chosen join. Stages tuples
+// through the radix partitioner's pass 1; Finish leaves them staged for the
+// runtime's decision (AutoJoinRuntime::ResolveDeferred).
 class AutoBuildSink : public Operator {
  public:
   explicit AutoBuildSink(AutoJoinRuntime* rt) : rt_(rt), radix_sink_(&rt->radix()) {}

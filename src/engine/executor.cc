@@ -1,6 +1,5 @@
 #include "engine/executor.h"
 
-#include <algorithm>
 #include <deque>
 
 #include "engine/coded_keys.h"
@@ -113,25 +112,6 @@ void CollectEarlyUses(const PlanNode& node, std::set<std::string>* out) {
   }
 }
 
-// Copies the advisor's decision record into a join's metrics so EXPLAIN
-// ANALYZE and the JSON export can show estimated vs actual.
-void AttachAdvisorMetrics(JoinMetrics& m, const JoinDecision& d) {
-  m.advisor.present = true;
-  m.advisor.choice = d.choice;
-  m.advisor.est_build_tuples = d.est_build_rows;
-  m.advisor.est_probe_tuples = d.est_probe_rows;
-  m.advisor.cost_bhj = d.cost_bhj;
-  m.advisor.cost_rj = d.cost_rj;
-  m.advisor.cost_brj = d.cost_brj;
-  m.advisor.reason = d.reason;
-  m.advisor.skew_sampled = d.skew_sampled;
-  m.advisor.est_top_share = d.est_top_share;
-  m.advisor.est_max_partition_share = d.est_max_partition_share;
-  m.advisor.est_key_payload_corr = d.est_key_payload_corr;
-  m.advisor.skew_defense = d.skew_defense;
-  m.advisor.quality = StatsEnabled();
-}
-
 class Lowerer {
  public:
   Lowerer(const ExecOptions& options, int num_threads)
@@ -194,14 +174,12 @@ class Lowerer {
   std::vector<Pipeline*> run_order_;
   std::vector<TableScanSource*> scans_;
   std::set<const Table*> scanned_tables_;  // for the stats metrics snapshot
-  std::vector<RadixProbeSink*> radix_probe_sinks_;
   // Rewrite-planted Bloom filters, keyed by BloomPlant::id. Created when
   // the planting join's build side is lowered — always before the distant
   // probe scan, which lives in that join's probe subtree.
   std::map<int, std::unique_ptr<BlockedBloomFilter>> rewrite_blooms_;
   std::vector<BloomProbeOp*> bloom_probe_ops_;
   const RewriteInfo* rewrite_info_ = nullptr;
-  std::vector<std::function<JoinAudit()>> audit_fns_;
   // Per-join observability collectors, invoked after the run (they read the
   // operator registry, so rows_out is only final once the pipelines stop).
   std::vector<std::function<JoinMetrics()>> metrics_fns_;
@@ -396,7 +374,6 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
         *projection));
     HashJoin* join = hash_joins_.back().get();
     join->set_join_id(join_id);
-    audit_fns_.push_back([join, join_id] { return join->Audit(join_id); });
     operators_.push_back(std::make_unique<HashJoinBuildSink>(join));
     build.pipeline->AddOperator(operators_.back().get());
     build.pipeline->timing_phase = JoinPhase::kBuildPipeline;
@@ -464,18 +441,17 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
 
   if (advised) {
     // Advisor-chosen radix joins run under the build-overflow guardrail:
-    // same pipeline shape, but the sinks/source can switch the join to the
-    // BHJ engine at Finish time if the estimate undersold the build side.
+    // same pipeline shape, but the runtime can switch the join to the BHJ
+    // engine when the probe pipeline prepares, if the estimate undersold
+    // the build side.
     auto_joins_.push_back(std::make_unique<AutoJoinRuntime>(
         node.join_kind, build.layout, build_keys, probe.layout, probe_keys,
-        *projection, radix_options, adv,
-        options_.advisor.build_overflow_factor));
+        *projection, radix_options, adv));
     AutoJoinRuntime* rt = auto_joins_.back().get();
     rt->set_join_id(join_id);
     if (replan_q > 0) {
       rt->ArmReplan(replan_q, options_.advisor, probe_ids_begin, join_id);
     }
-    audit_fns_.push_back([rt, join_id] { return rt->Audit(join_id); });
 
     operators_.push_back(std::make_unique<AutoBuildSink>(rt));
     build.pipeline->AddOperator(operators_.back().get());
@@ -506,7 +482,6 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
       *projection, radix_options));
   RadixJoin* join = radix_joins_.back().get();
   join->set_join_id(join_id);
-  audit_fns_.push_back([join, join_id] { return join->Audit(join_id); });
 
   operators_.push_back(std::make_unique<RadixBuildSink>(join));
   build.pipeline->AddOperator(operators_.back().get());
@@ -514,8 +489,6 @@ Lowerer::Stream Lowerer::LowerJoin(const PlanNode& node,
   if (!build_completed) CompletePipeline(build.pipeline);
 
   operators_.push_back(std::make_unique<RadixProbeSink>(join));
-  radix_probe_sinks_.push_back(
-      static_cast<RadixProbeSink*>(operators_.back().get()));
   probe.pipeline->AddOperator(operators_.back().get());
   probe.pipeline->timing_phase = JoinPhase::kPartitionPass1;
   CompletePipeline(probe.pipeline);
@@ -773,24 +746,6 @@ QueryResult Lowerer::Run(ThreadPool& pool, QueryStats* stats) {
     stats->result_rows = root_agg_->result().num_rows();
     stats->phase_timer = exec.timer();
     stats->bytes = exec.MergedBytes();
-    stats->bloom_dropped = 0;
-    for (RadixProbeSink* sink : radix_probe_sinks_) {
-      stats->bloom_dropped += sink->tuples_dropped_by_filter();
-    }
-    stats->partition_bytes = 0;
-    for (const auto& join : radix_joins_) {
-      stats->partition_bytes += join->PartitionBytes();
-    }
-    for (const auto& rt : auto_joins_) {
-      stats->bloom_dropped += rt->BloomDropped();
-      stats->partition_bytes += rt->PartitionBytes();
-    }
-    stats->join_audits.clear();
-    for (const auto& fn : audit_fns_) stats->join_audits.push_back(fn());
-    std::sort(stats->join_audits.begin(), stats->join_audits.end(),
-              [](const JoinAudit& a, const JoinAudit& b) {
-                return a.join_id < b.join_id;
-              });
   }
   return root_agg_->result();
 }

@@ -1,5 +1,6 @@
 #include "exec/query_metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -95,6 +96,64 @@ void QueryMetrics::SetSummary(double seconds, uint64_t source_tuples,
   result_rows_ = result_rows;
   timer_ = timer;
   bytes_ = bytes;
+}
+
+void QueryMetrics::Append(const QueryMetrics& step, int join_offset) {
+  const int pipeline_offset = static_cast<int>(pipelines_.size());
+  num_threads_ = step.num_threads_;
+  pipelines_.insert(pipelines_.end(), step.pipelines_.begin(),
+                    step.pipelines_.end());
+  for (const OperatorMetrics& op : step.operators_) {
+    operators_.push_back(op);
+    operators_.back().ShiftPipeline(pipeline_offset);
+  }
+  scans_.insert(scans_.end(), step.scans_.begin(), step.scans_.end());
+  for (JoinMetrics join : step.joins_) {
+    join.join_id += join_offset;
+    joins_.push_back(std::move(join));
+  }
+
+  seconds_ += step.seconds_;
+  source_tuples_ += step.source_tuples_;
+  result_rows_ = step.result_rows_;
+  for (int p = 0; p < static_cast<int>(JoinPhase::kNumPhases); ++p) {
+    const JoinPhase phase = static_cast<JoinPhase>(p);
+    timer_.Add(phase, step.timer_.seconds(phase));
+  }
+  bytes_.Merge(step.bytes_);
+
+  governor_budget_ = step.governor_budget_;
+  governor_high_water_ =
+      std::max(governor_high_water_, step.governor_high_water_);
+  governor_denials_ = std::max(governor_denials_, step.governor_denials_);
+  if (!step.simd_tier_.empty()) simd_tier_ = step.simd_tier_;
+  if (step.stats_present_) {
+    stats_present_ = true;
+    stats_tables_ += step.stats_tables_;
+    stats_columns_ += step.stats_columns_;
+    stats_buckets_ = step.stats_buckets_;
+  }
+  if (step.encoding_present_) {
+    encoding_present_ = true;
+    encoding_scans_encoded_ += step.encoding_scans_encoded_;
+    encoding_coded_join_pairs_ += step.encoding_coded_join_pairs_;
+    encoding_values_decoded_ += step.encoding_values_decoded_;
+    encoding_codes_emitted_ += step.encoding_codes_emitted_;
+    encoding_scan_read_bytes_ += step.encoding_scan_read_bytes_;
+    encoding_plain_read_bytes_ += step.encoding_plain_read_bytes_;
+    encoding_spill_bytes_logical_ += step.encoding_spill_bytes_logical_;
+    encoding_spill_bytes_physical_ += step.encoding_spill_bytes_physical_;
+  }
+  if (step.rewrite_present_) {
+    rewrite_present_ = true;
+    rewrite_rules_ = step.rewrite_rules_;
+    rewrite_order_ = step.rewrite_order_;
+    rewrite_filters_pulled_ += step.rewrite_filters_pulled_;
+    rewrite_filters_pushed_ += step.rewrite_filters_pushed_;
+    rewrite_joins_reordered_ += step.rewrite_joins_reordered_;
+    rewrite_blooms_planted_ += step.rewrite_blooms_planted_;
+    rewrite_bloom_dropped_ += step.rewrite_bloom_dropped_;
+  }
 }
 
 const JoinMetrics* QueryMetrics::FindJoin(int join_id) const {

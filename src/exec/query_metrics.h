@@ -77,6 +77,10 @@ class OperatorMetrics {
 
   const std::vector<OperatorSlot>& slots() const { return slots_; }
 
+  // Re-bases the record behind `offset` earlier pipelines (QueryMetrics::
+  // Append concatenating the steps of a multi-step query).
+  void ShiftPipeline(int offset) { pipeline_index_ += offset; }
+
   OperatorTotals Totals() const {
     OperatorTotals t;
     for (const OperatorSlot& s : slots_) {
@@ -266,15 +270,22 @@ inline double EstimateQError(uint64_t est, uint64_t actual) {
 constexpr double kMispredictQError = 2.0;
 
 // Everything one join reports, keyed by the executor's post-order join id
-// (the numbering of Figure 12 and ExecOptions::join_overrides).
+// (the numbering of Figure 12 and ExecOptions::join_overrides). This is the
+// per-join record behind the paper's per-join analyses: Figure 1 (build/probe
+// bytes per TPC-H join), Figure 2 (tuple-size and join-partner histograms),
+// Figure 13 (annotated join tree) and Table 5 (workload survey).
 struct JoinMetrics {
   int join_id = 0;
   JoinKind kind = JoinKind::kInner;
-  JoinStrategy strategy = JoinStrategy::kBHJ;
+  JoinStrategy strategy = JoinStrategy::kBHJ;  // what ran (post-fallback)
   uint64_t build_tuples = 0;
   uint64_t probe_tuples = 0;   // tuples entering the probe side (pre-filter)
   uint64_t probe_matched = 0;  // probe tuples with at least one partner
   uint64_t rows_out = 0;       // tuples the join emitted downstream
+  // Row widths behind build_bytes()/probe_bytes(). Kept out of ToJson and
+  // EXPLAIN so that their output stays stable.
+  uint32_t build_width = 0;    // materialized build row bytes
+  uint32_t probe_width = 0;    // probe row bytes
   bool has_hash_table = false;
   HashTableMetrics hash_table;
   bool has_partitions = false;
@@ -290,6 +301,14 @@ struct JoinMetrics {
   // Key pairs this join compared as dictionary codes (engine/coded_keys.h).
   // Zero for plain joins; the JSON/EXPLAIN fields are omitted then.
   uint32_t coded_key_pairs = 0;
+
+  uint64_t build_bytes() const { return build_tuples * build_width; }
+  uint64_t probe_bytes() const { return probe_tuples * probe_width; }
+  double match_fraction() const {
+    return probe_tuples > 0
+               ? static_cast<double>(probe_matched) / probe_tuples
+               : 0.0;
+  }
 };
 
 // The query-wide registry. One instance lives in ExecContext; the executor
@@ -439,6 +458,19 @@ class QueryMetrics {
   int rewrite_joins_reordered() const { return rewrite_joins_reordered_; }
   int rewrite_blooms_planted() const { return rewrite_blooms_planted_; }
   uint64_t rewrite_bloom_dropped() const { return rewrite_bloom_dropped_; }
+
+  // Appends one step of a multi-step query (tpch/queries.cc materializes
+  // subquery results into temporary tables between steps). Pipelines,
+  // operators, scans and joins are concatenated. Join ids shift by
+  // `join_offset`, the number of joins the earlier steps ran, which keeps
+  // the query's post-order numbering (Figure 12); operator pipeline indices
+  // shift by the pipelines already recorded. Seconds, source tuples, phase
+  // timers and bytes, and the stats/encoding/rewrite counters add up.
+  // result_rows, the SIMD tier and the rewrite rule/order strings come from
+  // the latest step that has them. The governor's high-water and denials
+  // are process-wide snapshots, so they take the max. Appending to an empty
+  // registry reproduces the step, so single-step output is unchanged.
+  void Append(const QueryMetrics& step, int join_offset);
 
   // --- accessors -----------------------------------------------------------
 

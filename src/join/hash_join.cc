@@ -183,6 +183,8 @@ JoinMetrics HashJoin::CollectMetrics() const {
   m.build_tuples = table_->num_entries() + SpilledBuildTuples();
   m.probe_tuples = probe_seen_.load(std::memory_order_relaxed);
   m.probe_matched = probe_matched_.load(std::memory_order_relaxed);
+  m.build_width = build_layout_->stride();
+  m.probe_width = probe_key_.layout()->stride();
   m.has_hash_table = true;
   HashTableMetrics& ht = m.hash_table;
   ht.build_tuples = table_->num_entries();

@@ -189,6 +189,8 @@ JoinMetrics RadixJoin::CollectMetrics() const {
       build_part_->total_tuples() + SpilledBuildTuples() + HeavyBuildTuples();
   m.probe_tuples = probe_seen_.load(std::memory_order_relaxed);
   m.probe_matched = probe_matched_.load(std::memory_order_relaxed);
+  m.build_width = build_layout_->stride();
+  m.probe_width = probe_layout_->stride();
   m.has_partitions = true;
   m.build_side = build_part_->Metrics();
   m.probe_side = probe_part_->Metrics();

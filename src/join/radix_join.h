@@ -137,7 +137,7 @@ class RadixJoin {
     return heavy_ == nullptr ? 0 : heavy_->build_tuples;
   }
 
-  // Oversized-partition re-split: threshold and audit counters.
+  // Oversized-partition re-split: threshold and counters.
   uint64_t resplit_threshold() const { return resplit_threshold_; }
   void AddResplit() {
     resplit_partitions_.fetch_add(1, std::memory_order_relaxed);
@@ -152,13 +152,7 @@ class RadixJoin {
   const RowLayout* build_layout() const { return build_layout_; }
   const RowLayout* probe_layout() const { return probe_layout_; }
 
-  // Peak auxiliary memory (partitions + temporaries), for the memory-budget
-  // observations of Section 5.3 (Q8/Q9/Q21 at SF 100).
-  uint64_t PartitionBytes() const {
-    return build_part_->OutputBytes() + probe_part_->OutputBytes();
-  }
-
-  // Audit counters.
+  // Probe-side cardinality counters (batch-wise from the probe sink).
   void AddProbeSeen(uint64_t n) {
     probe_seen_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -171,9 +165,6 @@ class RadixJoin {
   void AddBloomWindow(uint64_t checks, uint64_t dropped) {
     bloom_checks_.fetch_add(checks, std::memory_order_relaxed);
     bloom_dropped_.fetch_add(dropped, std::memory_order_relaxed);
-  }
-  uint64_t bloom_dropped() const {
-    return bloom_dropped_.load(std::memory_order_relaxed);
   }
 
   // Per-partition hash-table accounting, reported once per worker at Close.
@@ -190,19 +181,6 @@ class RadixJoin {
   // kind/strategy/cardinalities plus partitioner and Bloom internals;
   // rows_out is the executor's job (it owns the operator registry).
   JoinMetrics CollectMetrics() const;
-  JoinAudit Audit(int join_id) const {
-    JoinAudit audit;
-    audit.join_id = join_id;
-    audit.kind = kind_;
-    audit.strategy = options_.strategy;
-    audit.build_tuples =
-        build_part_->total_tuples() + SpilledBuildTuples() + HeavyBuildTuples();
-    audit.probe_tuples = probe_seen_.load(std::memory_order_relaxed);
-    audit.probe_matched = probe_matched_.load(std::memory_order_relaxed);
-    audit.build_width = build_layout_->stride();
-    audit.probe_width = probe_layout_->stride();
-    return audit;
-  }
 
  private:
   // Exact heavy-hash detection over the staged build side (Misra-Gries
@@ -268,8 +246,6 @@ class RadixProbeSink : public Operator {
   const RowLayout* OutputLayout() const override {
     return join_->probe_layout();
   }
-
-  uint64_t tuples_dropped_by_filter() const { return join_->bloom_dropped(); }
 
   const char* MetricsName() const override { return "radix_probe"; }
   std::string MetricsDetail() const override {

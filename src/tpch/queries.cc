@@ -16,23 +16,18 @@ namespace {
 // per-join strategy overrides (post-order across steps, Figure 12).
 // ---------------------------------------------------------------------------
 
-void AccumulateStats(QueryStats* total, const QueryStats& step) {
+void AccumulateStats(QueryStats* total, const QueryStats& step,
+                     int join_offset) {
   if (total == nullptr) return;
-  total->seconds += step.seconds;
-  total->source_tuples += step.source_tuples;
-  total->result_rows = step.result_rows;  // final step's output
-  for (int p = 0; p < static_cast<int>(JoinPhase::kNumPhases); ++p) {
-    total->phase_timer.Add(static_cast<JoinPhase>(p),
-                           step.phase_timer.seconds(static_cast<JoinPhase>(p)));
-  }
-  total->bytes.Merge(step.bytes);
-  total->bloom_dropped += step.bloom_dropped;
-  total->partition_bytes += step.partition_bytes;
-  // Scalars accumulate; the full observability snapshot keeps the final
-  // (main) step, which carries the query's principal join tree and any
-  // rewrite-pass record. Intermediate subquery steps only contribute their
-  // renumbered audits below.
-  total->metrics = step.metrics;
+  // Every step's pipelines, scans and joins, with the joins renumbered into
+  // the query-global post-order sequence; the summary adds up the steps.
+  QueryMetrics& m = total->metrics;
+  m.Append(step.metrics, join_offset);
+  total->seconds = m.seconds();
+  total->source_tuples = m.source_tuples();
+  total->result_rows = m.result_rows();  // final step's output
+  total->phase_timer = m.phase_timer();
+  total->bytes = m.phase_bytes();
 }
 
 class StepRunner {
@@ -53,17 +48,10 @@ class StepRunner {
     // (Figure 12). The rewrite pass may renumber joins by reordering, so a
     // caller supplying overrides pins the written plan shape.
     if (!base_.join_overrides.empty()) options.rewrite.enabled = 0;
-    const int offset = join_offset_;
-    join_offset_ += num_joins;
     QueryStats step;
     QueryResult result = ExecuteQuery(plan, options, &step, pool_);
-    AccumulateStats(stats_, step);
-    if (stats_ != nullptr) {
-      for (JoinAudit audit : step.join_audits) {
-        audit.join_id += offset;  // renumber into the query-global sequence
-        stats_->join_audits.push_back(audit);
-      }
-    }
+    AccumulateStats(stats_, step, join_offset_);
+    join_offset_ += num_joins;
     return result;
   }
 

@@ -412,10 +412,10 @@ TEST(AdvisorGuardrail, FallsBackToBHJWhenBuildOverflowsEstimate) {
   EXPECT_TRUE(jm->has_hash_table);     // the BHJ actually ran
   EXPECT_FALSE(jm->has_partitions);    // the radix join never finalized
   EXPECT_EQ(jm->build_tuples, 20000u);
-  // Audits and accounting follow the engine that ran.
-  ASSERT_EQ(stats.join_audits.size(), 1u);
-  EXPECT_EQ(stats.join_audits[0].strategy, JoinStrategy::kBHJ);
-  EXPECT_EQ(stats.partition_bytes, 0u);
+  // The join record and its accounting follow the engine that ran.
+  ASSERT_EQ(stats.metrics.joins().size(), 1u);
+  EXPECT_EQ(jm->strategy, JoinStrategy::kBHJ);
+  EXPECT_EQ(jm->build_side.output_bytes + jm->probe_side.output_bytes, 0u);
 }
 
 TEST(AdvisorGuardrail, AccurateEstimateStaysOnRadixPath) {
@@ -447,7 +447,7 @@ TEST(AdvisorGuardrail, AccurateEstimateStaysOnRadixPath) {
   EXPECT_NE(jm->advisor.choice, JoinStrategy::kBHJ);
   EXPECT_FALSE(jm->advisor.fell_back);
   EXPECT_TRUE(jm->has_partitions);
-  EXPECT_GT(stats.partition_bytes, 0u);
+  EXPECT_GT(jm->build_side.output_bytes + jm->probe_side.output_bytes, 0u);
 }
 
 TEST(AdvisorGuardrail, FallbackCorrectForEveryJoinKind) {
@@ -505,12 +505,12 @@ TEST(AdvisorOracle, TpchOverwhelminglyNonPartitioned) {
     SCOPED_TRACE(q.name);
     QueryStats stats;
     q.run(*db, options, &stats, &pool);
-    // Multi-step queries renumber audits into one post-order sequence; the
-    // audit's strategy is what actually ran (post-fallback).
-    ASSERT_EQ(static_cast<int>(stats.join_audits.size()), q.num_joins);
-    for (const JoinAudit& audit : stats.join_audits) {
+    // Multi-step queries number their joins in one post-order sequence;
+    // the record's strategy is what actually ran (post-fallback).
+    ASSERT_EQ(static_cast<int>(stats.metrics.joins().size()), q.num_joins);
+    for (const JoinMetrics& join : stats.metrics.joins()) {
       ++total;
-      if (audit.strategy == JoinStrategy::kBHJ) ++non_partitioned;
+      if (join.strategy == JoinStrategy::kBHJ) ++non_partitioned;
     }
   }
   EXPECT_EQ(total, TotalTpchJoins());

@@ -362,8 +362,10 @@ TEST(Engine, StatsPopulated) {
   EXPECT_EQ(stats.source_tuples, db.dim.num_rows() + db.fact.num_rows());
   EXPECT_EQ(stats.result_rows, 1u);
   EXPECT_GT(stats.Throughput(), 0.0);
-  EXPECT_GT(stats.partition_bytes, 0u);
-  EXPECT_GT(stats.bloom_dropped, 0u);  // ~25% of fact keys have no partner
+  const JoinMetrics* jm = stats.metrics.FindJoin(0);
+  ASSERT_NE(jm, nullptr);
+  EXPECT_GT(jm->build_side.output_bytes + jm->probe_side.output_bytes, 0u);
+  EXPECT_GT(jm->bloom.negatives, 0u);  // ~25% of fact keys have no partner
 }
 
 TEST(Engine, EmptyResultQuery) {

@@ -286,7 +286,7 @@ TEST(BloomRadixJoin, FilterDropsNonMatchingTuples) {
 
   // >=90% of the probe side must have been dropped pre-materialization
   // (95% minus Bloom false positives).
-  EXPECT_GT(probe_sink.tuples_dropped_by_filter(), probe.size() * 9 / 10);
+  EXPECT_GT(join.CollectMetrics().bloom.negatives, probe.size() * 9 / 10);
   EXPECT_LT(join.probe_partitioner().total_tuples(), probe.size() / 5);
   // And the result still matches the reference.
   IntRows expected = ReferenceJoin(build, probe, 0, JoinKind::kInner,
@@ -330,7 +330,7 @@ TEST(BloomRadixJoin, AdaptiveSwitchesOffAtFullSelectivity) {
 
   EXPECT_FALSE(join.adaptive_controller().enabled());
   // Nothing may be dropped at 100% selectivity.
-  EXPECT_EQ(probe_sink.tuples_dropped_by_filter(), 0u);
+  EXPECT_EQ(join.CollectMetrics().bloom.negatives, 0u);
   EXPECT_EQ(join.probe_partitioner().total_tuples(), probe.size());
 }
 

@@ -10,6 +10,8 @@
 #include "engine/explain.h"
 #include "engine/plan.h"
 #include "exec/morsel.h"
+#include "tpch/gen.h"
+#include "tpch/queries.h"
 #include "util/env.h"
 #include "util/rng.h"
 
@@ -181,9 +183,11 @@ TEST_F(MetricsTest, BloomPassRateTracksSelectivity) {
   const double pass = jm->bloom.pass_rate();
   EXPECT_GE(pass, 0.24);
   EXPECT_LE(pass, 0.30);
-  // The filter's negatives are exactly the tuples the executor reports as
-  // pruned, and none of them reached the partitioner.
-  EXPECT_EQ(stats.bloom_dropped, jm->bloom.negatives);
+  // The filter's negatives are exactly the tuples the probe sink received
+  // but did not partition.
+  EXPECT_EQ(stats.metrics.TotalsFor("radix_probe").rows_in -
+                jm->bloom.negatives,
+            jm->probe_side.tuples);
   EXPECT_EQ(jm->probe_side.tuples,
             static_cast<uint64_t>(fact_rows) - jm->bloom.negatives);
 }
@@ -371,6 +375,94 @@ TEST_F(MetricsTest, ToJsonStableAcrossRuns) {
   const std::string timed = a.metrics.ToJson();
   EXPECT_NE(timed.find("\"seconds\":"), std::string::npos);
   EXPECT_NE(timed.find("\"wall_seconds\":"), std::string::npos);
+}
+
+TEST_F(MetricsTest, AppendConcatenatesSteps) {
+  auto two_joins = TwoJoinPlan();
+  auto one_join = Aggregate(
+      Join(ScanTable(&dim1_), ScanTable(&fact_), {{"d1_k", "f_k1"}}), {},
+      {AggDef::CountStar("n")});
+  ExecOptions options;
+  options.join_strategy = JoinStrategy::kRJ;
+  options.num_threads = 1;
+  QueryStats first, second;
+  ExecuteQuery(*two_joins, options, &first);
+  ExecuteQuery(*one_join, options, &second);
+
+  // Appending to an empty registry reproduces the step.
+  QueryMetrics single;
+  single.Append(first.metrics, 0);
+  EXPECT_EQ(single.ToJson(false), first.metrics.ToJson(false));
+
+  QueryMetrics total;
+  total.Append(first.metrics, 0);
+  total.Append(second.metrics, 2);
+  const size_t first_pipelines = first.metrics.pipelines().size();
+  EXPECT_EQ(total.pipelines().size(),
+            first_pipelines + second.metrics.pipelines().size());
+  EXPECT_EQ(total.scans().size(),
+            first.metrics.scans().size() + second.metrics.scans().size());
+  ASSERT_EQ(total.joins().size(), 3u);
+  for (int j = 0; j < 3; ++j) EXPECT_EQ(total.joins()[j].join_id, j);
+  EXPECT_EQ(total.joins()[2].build_tuples,
+            second.metrics.joins()[0].build_tuples);
+
+  // The second step's operators point at its pipelines, now behind the
+  // first step's.
+  const size_t first_ops = first.metrics.operators().size();
+  ASSERT_EQ(total.operators().size(),
+            first_ops + second.metrics.operators().size());
+  for (size_t i = 0; i < second.metrics.operators().size(); ++i) {
+    EXPECT_EQ(total.operators()[first_ops + i].pipeline_index(),
+              second.metrics.operators()[i].pipeline_index() +
+                  static_cast<int>(first_pipelines));
+  }
+  EXPECT_EQ(total.seconds(), first.seconds + second.seconds);
+  EXPECT_EQ(total.source_tuples(), first.source_tuples + second.source_tuples);
+  EXPECT_EQ(total.result_rows(), second.result_rows);
+}
+
+TEST_F(MetricsTest, MultiStepTpchQueriesKeepEveryStep) {
+  auto db = GenerateTpch(0.01);
+  ThreadPool pool(2);
+  ExecOptions options;
+  options.num_threads = 2;
+  // Q18 runs two steps and Q21 three; every step ends in its own root
+  // aggregate.
+  for (const auto& [id, steps] : {std::pair{18, 2}, std::pair{21, 3}}) {
+    SCOPED_TRACE("Q" + std::to_string(id));
+    const TpchQuery& q = GetTpchQuery(id);
+    QueryStats stats;
+    q.run(*db, options, &stats, &pool);
+    const QueryMetrics& m = stats.metrics;
+
+    // Every step's joins, in the query-global post-order numbering.
+    ASSERT_EQ(static_cast<int>(m.joins().size()), q.num_joins);
+    for (int j = 0; j < q.num_joins; ++j) EXPECT_EQ(m.joins()[j].join_id, j);
+
+    // Every step's pipelines: operators appear in run order, each points at
+    // a recorded pipeline, and every pipeline registered its source.
+    const int num_pipelines = static_cast<int>(m.pipelines().size());
+    std::vector<bool> seen(num_pipelines, false);
+    int last_index = 0;
+    std::vector<int> agg_pipelines;
+    for (const OperatorMetrics& op : m.operators()) {
+      ASSERT_GE(op.pipeline_index(), last_index);
+      ASSERT_LT(op.pipeline_index(), num_pipelines);
+      last_index = op.pipeline_index();
+      seen[last_index] = true;
+      if (op.name() == "hash_agg") agg_pipelines.push_back(last_index);
+    }
+    for (int p = 0; p < num_pipelines; ++p) EXPECT_TRUE(seen[p]) << p;
+    // The steps' root aggregates split the pipelines into consecutive runs,
+    // the last ending the record: the count is the sum over the steps.
+    ASSERT_EQ(static_cast<int>(agg_pipelines.size()), steps);
+    EXPECT_EQ(agg_pipelines.back(), num_pipelines - 1);
+
+    // The summary covers the whole query, like QueryStats.
+    EXPECT_EQ(m.seconds(), stats.seconds);
+    EXPECT_EQ(m.source_tuples(), stats.source_tuples);
+  }
 }
 
 }  // namespace

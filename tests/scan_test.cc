@@ -146,7 +146,7 @@ TEST(LateMaterialization, OuterJoinNullTidsFetchAsZero) {
 
 TEST(LateMaterialization, FetchesDeferColumnsByTid) {
   // A selective join under LM must produce the same aggregate as under EM
-  // while carrying less data through the join (partition_bytes shrinks).
+  // while carrying less data through the join (partition bytes shrink).
   Table dim("dim2", Schema({{"e_key", DataType::kInt64, 0}}));
   Table fact("fact2", Schema({{"g_key", DataType::kInt64, 0},
                               {"g_a", DataType::kInt64, 0},
@@ -181,7 +181,13 @@ TEST(LateMaterialization, FetchesDeferColumnsByTid) {
   QueryResult r_lm = ExecuteQuery(*make_plan(), lm, &lm_stats);
   EXPECT_TRUE(r_lm.ApproxEquals(r_em));
   // LM materializes key+tid (later padded) instead of key+4 payloads.
-  EXPECT_LT(lm_stats.partition_bytes, em_stats.partition_bytes);
+  const JoinMetrics* em_join = em_stats.metrics.FindJoin(0);
+  const JoinMetrics* lm_join = lm_stats.metrics.FindJoin(0);
+  ASSERT_NE(em_join, nullptr);
+  ASSERT_NE(lm_join, nullptr);
+  EXPECT_LT(
+      lm_join->build_side.output_bytes + lm_join->probe_side.output_bytes,
+      em_join->build_side.output_bytes + em_join->probe_side.output_bytes);
 }
 
 }  // namespace
